@@ -3,18 +3,22 @@
 The perf-trajectory point for the pipelined dispatcher (DESIGN.md §10).
 A deterministic **sleep-cost objective** with a heavy-tailed duration
 distribution — most trials are cheap, a seeded minority are 20×
-stragglers — is driven through both parallel drivers on thread workers
+stragglers — is driven through three schedules on thread workers
 (sleeping releases the GIL, so the bench measures real slot concurrency
 even on a single CPU):
 
-1. **Generation-batched** — :class:`ParallelStudyRunner` over a
-   :class:`ThreadLauncher`: every batch waits for its slowest chunk at
-   the barrier.  The run dogfoods the runner's new per-batch
-   ``(dispatch, slowest, idle)`` starvation accounting to measure the
+1. **Generation barrier** — the static barrier ``run_blackbox`` runs
+   under ``study run --workers N``: each generation is split by
+   :func:`chunk_evenly` into per-worker chunks and launched on a
+   :class:`ThreadLauncher`, so every generation waits for its slowest
+   chunk.  The bench keeps its own per-generation
+   ``(dispatch, slowest, idle)`` accounting to measure the
    worker-seconds the barrier wastes.
 2. **Pipelined, speculation off** — :class:`PipelinedDispatcher` with
-   ``speculate=0``: must produce the *bit-identical* trial sequence
-   (params and values), asserted unconditionally.
+   ``speculate=0``: must evaluate the barrier's *bit-identical* trial
+   sequence (params and values), asserted unconditionally.  It is the
+   identity partner, not the speed baseline: it already streams trials
+   within a generation.
 3. **Pipelined, speculation on** — ``speculate=BATCH`` (full-depth):
    worker slots backfill across the generation boundary while the
    straggler finishes.
@@ -39,10 +43,10 @@ import time
 import pytest
 
 from repro.blackbox.distributions import FloatDistribution
-from repro.blackbox.parallel import ParallelStudyRunner, PipelinedDispatcher
+from repro.blackbox.parallel import PipelinedDispatcher, materialize_params
 from repro.blackbox.samplers.random import RandomSampler
 from repro.blackbox.study import Study
-from repro.confsys.launcher import ThreadLauncher
+from repro.confsys.launcher import ThreadLauncher, chunk_evenly
 
 WORKERS = 4
 BATCH = 16
@@ -83,14 +87,48 @@ def _snapshot(study: Study) -> list:
     return [(t.number, dict(t.params), t.values) for t in study.trials]
 
 
-def run_generational() -> "tuple[Study, float]":
+def _evaluate_chunk(params_chunk: list) -> list:
+    """One worker's share of a generation: ``(values, seconds)`` per trial."""
+    outcomes = []
+    for params in params_chunk:
+        start = time.perf_counter()
+        values = sleepy_objective(params)
+        outcomes.append((values, time.perf_counter() - start))
+    return outcomes
+
+
+def run_generational() -> "tuple[Study, float, list[dict]]":
+    """The static generation barrier, with per-generation
+    ``(dispatch, slowest, idle)`` records."""
     study = _study()
-    runner = ParallelStudyRunner(
-        study, SPACE, launcher=ThreadLauncher(WORKERS), batch_size=BATCH
-    )
+    sampler = study.sampler
+    sampler.per_trial_seeding = True
+    launcher = ThreadLauncher(WORKERS)
+    timings = []
     start = time.perf_counter()
-    runner.optimize(sleepy_objective, n_trials=N_TRIALS)
-    return study, time.perf_counter() - start
+    for first in range(0, N_TRIALS, BATCH):
+        trials = [study.ask() for _ in range(min(BATCH, N_TRIALS - first))]
+        for trial in trials:
+            materialize_params(trial, sampler.ask(study, trial.number, SPACE), SPACE)
+        chunks = chunk_evenly([dict(t.params) for t in trials], WORKERS)
+        dispatch_start = time.perf_counter()
+        outcomes = [
+            outcome
+            for chunk in launcher.launch(_evaluate_chunk, chunks)
+            for outcome in chunk
+        ]
+        dispatch = time.perf_counter() - dispatch_start
+        busy = sum(seconds for _, seconds in outcomes)
+        timings.append(
+            {
+                "dispatch": dispatch,
+                "slowest": max(seconds for _, seconds in outcomes),
+                "idle": max(0.0, 1.0 - busy / (dispatch * WORKERS)),
+            }
+        )
+        for trial, (values, _) in zip(trials, outcomes):
+            study.tell(trial, values)
+    return study, time.perf_counter() - start, timings
 
 
 def run_pipelined(speculate: int) -> "tuple[Study, PipelinedDispatcher, float]":
@@ -108,9 +146,8 @@ def run_pipelined(speculate: int) -> "tuple[Study, PipelinedDispatcher, float]":
     return study, dispatcher, time.perf_counter() - start
 
 
-def _barrier_idle(study: Study) -> float:
-    """Run-level idle fraction from the runner's per-batch accounting."""
-    timings = study.metadata["batch_timings"]
+def _barrier_idle(timings: "list[dict]") -> float:
+    """Run-level idle fraction from the per-generation records."""
     wall = sum(t["dispatch"] for t in timings)
     busy = sum(
         t["dispatch"] * WORKERS * (1.0 - t["idle"]) for t in timings
@@ -120,11 +157,11 @@ def _barrier_idle(study: Study) -> float:
 
 @pytest.fixture(scope="module")
 def pipeline_runs(output_dir):
-    gen_study, t_gen = run_generational()
+    gen_study, t_gen, timings = run_generational()
     pipe0_study, _, _ = run_pipelined(0)
     spec_study, spec_dispatcher, t_spec = run_pipelined(SPECULATE)
 
-    idle_gen = _barrier_idle(gen_study)
+    idle_gen = _barrier_idle(timings)
     idle_spec = spec_dispatcher.stats.idle_fraction
     speedup = t_gen / t_spec if t_spec > 0 else float("inf")
     idle_reduction = (idle_gen - idle_spec) / idle_gen if idle_gen > 0 else 0.0

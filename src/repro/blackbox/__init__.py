@@ -17,19 +17,16 @@ reimplements the subset of Optuna's API the paper exercises:
   §7) — ``create_study(storage=..., load_if_exists=True)`` resumes a
   killed study from a pluggable backend (in-memory, JSONL journal, or
   SQLite — any spec the URL registry resolves, e.g.
-  ``sqlite:///study.db``), with sharded stores and offline merge for
-  multi-worker runs,
-* **parallel trial execution** (:mod:`repro.blackbox.parallel`,
-  DESIGN.md §4) — :class:`ParallelStudyRunner` fans independent trials
-  out across processes with deterministic per-trial RNG seeding,
-* **pipelined, generation-free dispatch** (DESIGN.md §10) —
-  :class:`PipelinedDispatcher` streams candidates to worker slots as
-  they free, optionally breeding the next generation's first candidates
-  speculatively; with speculation off it is bit-identical to the
-  generation-batched runner.
+  ``sqlite:///study.db``),
+* **parallel, generation-free dispatch** (:mod:`repro.blackbox.parallel`,
+  DESIGN.md §4, §10) — :class:`PipelinedDispatcher` streams candidates
+  to thread, process, or remote worker slots as they free, with
+  deterministic per-trial RNG seeding, optionally breeding the next
+  generation's first candidates speculatively; with speculation off it
+  is the serial generational loop, trial for trial.
 
 Storage-aware APIs: ``create_study`` / ``Study.ask`` / ``Study.tell``
-(record through a backend), ``ParallelStudyRunner`` (journals batches as
+(record through a backend), ``PipelinedDispatcher`` (records trials as
 they complete).  Samplers, pruners, and distributions are pure
 strategies and never touch storage themselves.
 """
@@ -54,14 +51,12 @@ from .trial import FrozenTrial, Trial, TrialState
 from .storage import (
     InMemoryStorage,
     JournalStorage,
-    ShardedStorage,
     SQLiteStorage,
     StoredStudy,
     StudyStorage,
-    merge_stores,
     storage_from_url,
 )
-from .parallel import ParallelStudyRunner, PipelinedDispatcher
+from .parallel import PipelinedDispatcher
 
 __all__ = [
     "StudyStorage",
@@ -69,10 +64,7 @@ __all__ = [
     "InMemoryStorage",
     "JournalStorage",
     "SQLiteStorage",
-    "ShardedStorage",
-    "merge_stores",
     "storage_from_url",
-    "ParallelStudyRunner",
     "PipelinedDispatcher",
     "Distribution",
     "FloatDistribution",

@@ -9,15 +9,17 @@ Samplers speak two protocols over the same drawing logic:
   does crossover over the full search space).
 * **ask/tell** (``ask``/``tell``): given a declared search space, plan a
   complete candidate up front and observe finished trials explicitly —
-  the protocol the parallel drivers (and any future remote workers)
-  stream candidates through (DESIGN.md §10).  Both protocols consume the
+  the protocol the pipelined dispatcher (and its remote workers) stream
+  candidates through (DESIGN.md §10).  Both protocols consume the
   sampler's RNG identically, so for a fixed history ``ask`` returns
   exactly the params the define-by-run loop would have suggested.
+
+Both ``sample`` and ``ask`` are abstract: every sampler implements the
+two protocols natively.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any
 
@@ -42,7 +44,7 @@ class Sampler(ABC):
     exactly the values an uninterrupted run would have drawn, which is
     what makes storage-backed resume (DESIGN.md §3) and parallel
     execution (DESIGN.md §4) reproducible.  The storage-aware drivers
-    (``ParallelStudyRunner``, ``OptimizationRunner.run_blackbox`` with a
+    (``PipelinedDispatcher``, ``OptimizationRunner.run_blackbox`` with a
     storage) enable it automatically.
     """
 
@@ -76,6 +78,7 @@ class Sampler(ABC):
     ) -> Any:
         """Value for parameter ``name`` of ``trial``."""
 
+    @abstractmethod
     def ask(
         self,
         study: "Study",
@@ -88,33 +91,7 @@ class Sampler(ABC):
         order), drawing from this sampler's RNG exactly like the
         define-by-run path does, so the two protocols are bit-identical
         for a fixed (seed, trial number, completed history).
-
-        This base implementation is the backward-compat shim for
-        ``sample()``-era subclasses: it replays the historical
-        one-parameter-at-a-time loop against a throwaway frozen trial.
-        In-tree samplers all override it natively (asserted by the docs
-        consistency suite); external subclasses should too — the shim
-        warns because a sampler that stashes per-trial state in
-        ``trial.system_attrs`` loses it here (the throwaway trial is
-        discarded, only the params survive).
         """
-        from ..trial import FrozenTrial
-
-        warnings.warn(
-            f"{type(self).__name__} implements only the legacy "
-            "Sampler.sample() interface; the ask/tell drivers emulate it "
-            "one parameter at a time. Override ask() natively "
-            "(DESIGN.md §10).",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        proxy = FrozenTrial(number=int(trial_number))
-        self.begin_trial(proxy.number)
-        for name, dist in space.items():
-            value = self.sample(study, proxy, name, dist)
-            proxy.params[name] = value
-            proxy.distributions[name] = dist
-        return dict(proxy.params)
 
     def tell(self, study: "Study", trial: "FrozenTrial") -> None:
         """Observe a finished trial (ask/tell protocol).

@@ -2,7 +2,7 @@
 
 Real Optuna deployments persist trials so that a killed 350-trial
 NSGA-II search resumes instead of restarting, and so that several
-workers can share one study.  This package provides that seam as four
+workers can share one study.  This package provides that seam as three
 interchangeable backends behind one contract plus a URL registry:
 
 * :mod:`.base` — the :class:`StudyStorage` protocol, replayed
@@ -16,12 +16,10 @@ interchangeable backends behind one contract plus a URL registry:
 * :mod:`.sqlite` — :class:`SQLiteStorage` (``sqlite:///p.db``), the
   production backend: WAL mode, one transaction per trial record,
   concurrent-writer safe;
-* :mod:`.sharded` — :class:`ShardedStorage` fans one study across
-  per-worker shard stores and :func:`merge_stores` folds them back;
 * :mod:`.registry` — :func:`storage_from_url` / :func:`resolve_storage`
   turn a spec string into any of the above, which is what lets every
   storage-accepting API (``create_study``, ``run_blackbox``,
-  ``ParallelStudyRunner``, the CLI) take a plain string.
+  ``PipelinedDispatcher``, the CLI) take a plain string.
 
 Storage-aware entry points: ``create_study(..., storage=...,
 load_if_exists=True)``, ``Study.ask`` / ``Study.tell`` (which record
@@ -39,14 +37,11 @@ from .base import (
 from .journal import JournalStorage
 from .memory import InMemoryStorage
 from .registry import (
-    discover_shards,
     open_study_storage,
     register_scheme,
     resolve_storage,
-    shard_spec,
     storage_from_url,
 )
-from .sharded import ShardedStorage, merge_stores
 from .sqlite import SQLiteStorage
 
 __all__ = [
@@ -55,15 +50,11 @@ __all__ = [
     "InMemoryStorage",
     "JournalStorage",
     "SQLiteStorage",
-    "ShardedStorage",
-    "merge_stores",
     "encode_trial",
     "decode_trial",
     "require_study",
     "register_scheme",
     "resolve_storage",
-    "shard_spec",
-    "discover_shards",
     "open_study_storage",
     "storage_from_url",
 ]

@@ -28,7 +28,7 @@ class JournalStorage(StudyStorage):
     per trial number.  Several studies can share one journal file.
 
     Replay cost grows with *history*, not with live trials — every
-    re-told trial (resume re-runs, shard renumbering) adds a line.
+    re-told trial (resume re-runs, renumbering) adds a line.
     :meth:`compact` rewrites the file to its last-write-wins fixed
     point, making subsequent loads O(live trials) (DESIGN.md §7).
     """
@@ -171,7 +171,7 @@ class JournalStorage(StudyStorage):
     def compact(self) -> tuple[int, int]:
         """Rewrite the journal to its last-write-wins fixed point.
 
-        Resume re-runs and shard renumbering re-tell trials under their
+        Resume re-runs and renumbering re-tell trials under their
         existing numbers, so a long-lived journal accumulates records
         replay immediately overwrites; replaying it costs O(history).
         Compaction keeps exactly what replay keeps — one ``create`` per

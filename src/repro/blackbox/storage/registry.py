@@ -1,7 +1,7 @@
 """URL-scheme registry: one string names any storage backend.
 
 Everywhere the API takes a storage — ``create_study``,
-``OptimizationRunner.run_blackbox``, ``ParallelStudyRunner``, the CLI's
+``OptimizationRunner.run_blackbox``, ``PipelinedDispatcher``, the CLI's
 ``--storage``/``--journal`` flags — a spec string is accepted and
 resolved here (DESIGN.md §7)::
 
@@ -20,7 +20,6 @@ backend" without a signature change.
 from __future__ import annotations
 
 import os
-import re
 from pathlib import Path
 from typing import Callable
 
@@ -28,7 +27,6 @@ from ...exceptions import OptimizationError
 from .base import StudyStorage
 from .journal import JournalStorage
 from .memory import InMemoryStorage
-from .sharded import ShardedStorage
 from .sqlite import SQLiteStorage
 
 #: file extensions that make a bare path resolve to the SQLite backend
@@ -65,10 +63,7 @@ def storage_from_url(spec: "str | os.PathLike[str]") -> StudyStorage:
     spec = os.fspath(spec)
     parts = _split_url(spec)
     if parts is None:  # bare path: pick the backend from the extension
-        # Shard files keep their parent's backend: study.db.shard0 is
-        # still sqlite, so strip the shard suffix before looking.
-        base = re.sub(r"\.shard\d+$", "", spec)
-        suffix = Path(base).suffix.lower()
+        suffix = Path(spec).suffix.lower()
         factory = SQLiteStorage if suffix in _SQLITE_SUFFIXES else JournalStorage
         return factory(spec)
     scheme, path = parts
@@ -82,70 +77,18 @@ def storage_from_url(spec: "str | os.PathLike[str]") -> StudyStorage:
     return _SCHEMES[scheme](path)
 
 
-def shard_spec(spec: str, index: int) -> str:
-    """Spec string of shard ``index``: ``.shard<i>`` appended to the path."""
-    return f"{spec}.shard{index}"
-
-
-def discover_shards(spec: str) -> int:
-    """Number of consecutive on-disk shard files next to ``spec`` (0 if none)."""
-    parts = _split_url(os.fspath(spec))
-    if parts is not None and parts[0] == "memory":
-        return 0
-    path = parts[1] if parts is not None else os.fspath(spec)
-    n = 0
-    while Path(f"{path}.shard{n}").exists():
-        n += 1
-    return n
-
-
-def open_study_storage(spec: "str | os.PathLike[str]") -> StudyStorage:
-    """Resolve ``spec``, auto-detecting a sharded topology on disk.
-
-    A sharded run (``study run --shards W``) writes ``spec.shard0`` …
-    ``spec.shardW-1`` and never the base path, so ``status``/``resume``
-    against the base spec must reopen the same per-worker stores.  If
-    the base store holds studies it wins (e.g. shards already merged
-    into it); otherwise consecutive ``.shardN`` siblings are reopened
-    as one :class:`ShardedStorage`.
-    """
-    store = storage_from_url(spec)
-    if store.load_all():
-        return store
-    n = discover_shards(os.fspath(spec))
-    if n > 1:
-        store.close()
-        return resolve_storage(spec, shards=n)
-    return store
+#: historical name for opening a study store by spec, kept for its callers
+open_study_storage = storage_from_url
 
 
 def resolve_storage(
     spec: "StudyStorage | str | os.PathLike[str] | None",
-    shards: int | None = None,
 ) -> StudyStorage | None:
     """The one resolution path every storage-accepting API goes through.
 
-    ``None`` and ready-made :class:`StudyStorage` instances pass through
-    (``shards`` then must not also be requested — the caller already
-    chose a topology); strings and paths resolve via the scheme
-    registry.  With ``shards=W > 1`` the spec is expanded into W
-    per-worker stores (``spec.shard0`` … ``spec.shardW-1``, or W
-    independent in-memory stores for ``memory://``) wrapped in a
-    :class:`ShardedStorage`.
+    ``None`` and ready-made :class:`StudyStorage` instances pass
+    through; strings and paths resolve via the scheme registry.
     """
-    if spec is None:
-        return None
-    if isinstance(spec, StudyStorage):
-        if shards is not None and shards > 1:
-            raise OptimizationError(
-                "pass a spec string to shard a store, not a backend instance"
-            )
+    if spec is None or isinstance(spec, StudyStorage):
         return spec
-    spec = os.fspath(spec)
-    if shards is None or shards <= 1:
-        return storage_from_url(spec)
-    if _split_url(spec) is not None and _split_url(spec)[0] == "memory":
-        return ShardedStorage([InMemoryStorage() for _ in range(shards)])
-    return ShardedStorage(
-        [storage_from_url(shard_spec(spec, i)) for i in range(shards)]
-    )
+    return storage_from_url(spec)

@@ -303,7 +303,7 @@ def create_study(
         # Tombstone the now-orphaned old numbers: a bare start record
         # makes their stale finish records replay as RUNNING, which the
         # next load discards.  (The contiguous case — unfinished trials
-        # only at the tail, as the batch drivers produce — needs none of
+        # only at the tail, as the drivers produce — needs none of
         # this: numbers are unchanged and stale tails already end in a
         # start record.)
         for n in range(len(finished), max_old + 1):

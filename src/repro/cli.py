@@ -20,14 +20,10 @@ Storage is pluggable (DESIGN.md §7): every verb also accepts
 ``--storage`` with a URL-style spec resolved through the storage
 registry — ``journal:///study.jsonl``, ``sqlite:///study.db``, or a
 bare path whose extension picks the backend.  Journals are compacted to
-their last-write-wins fixed point with ``study compact``, and a study
-sharded across per-worker stores (``study run --shards 4``) is folded
-back into one store with ``study merge``::
+their last-write-wins fixed point with ``study compact``::
 
     python -m repro.cli study run     --storage sqlite:///study.db --site houston
     python -m repro.cli study compact --journal study.jsonl
-    python -m repro.cli study merge   --into merged.db \
-        --from study.db.shard0 --from study.db.shard1
 
 Robust multi-site search with an alternative dispatch policy
 (DESIGN.md §5) — score every candidate against several scenarios in one
@@ -256,13 +252,11 @@ def _store_spec(args) -> str:
     return args.storage or args.journal
 
 
-def _open_storage(args, shards: "int | None" = None):
-    """Resolve the study store, reopening an on-disk sharded topology."""
-    from .blackbox.storage import open_study_storage, resolve_storage
+def _open_storage(args):
+    """Resolve the study store named by ``--storage``/``--journal``."""
+    from .blackbox.storage import storage_from_url
 
-    if shards is not None and shards > 1:
-        return resolve_storage(_store_spec(args), shards=shards)
-    return open_study_storage(_store_spec(args))
+    return storage_from_url(_store_spec(args))
 
 
 def _print_search_summary(result, spec: str, name: str) -> None:
@@ -322,7 +316,6 @@ def _spec_from_args(cfg: Config, args, sites: "list[str]"):
         fidelity=args.fidelity,
         pipeline=pipeline,
         engine=args.engine,
-        shards=args.shards,
     )
 
 
@@ -338,7 +331,7 @@ def cmd_study_run(cfg: Config, args) -> int:
     name = args.name or study_spec.default_name
     # Check for a pre-existing study before the (possibly multi-minute)
     # ensemble build, so the duplicate-run error path is near-instant.
-    storage = _open_storage(args, shards=args.shards)
+    storage = _open_storage(args)
     if storage.load_study(name) is not None:
         print(
             f"study '{name}' already exists in {spec} — continue it with:\n"
@@ -482,9 +475,6 @@ def cmd_study_status(cfg: Config, args) -> int:
                     f"{stats.get('n_speculative', 0)} speculative trials"
                 )
             print(line)
-        timings = stored.metadata.get("batch_timings")
-        if timings:
-            print(f"  batches: {_starvation_stats(timings)}")
         doc = study_status_document(stored)
         service = doc.get("service")
         heartbeat = doc.get("heartbeat")
@@ -523,23 +513,6 @@ def cmd_study_status(cfg: Config, args) -> int:
     return 0
 
 
-def _starvation_stats(timings: "list[dict]") -> str:
-    """Worker-starvation summary of a study's per-batch timing records.
-
-    Each record carries ``(dispatch, slowest, idle)`` — the batch's wall
-    clock, its slowest trial, and the fraction of worker-seconds the
-    generation barrier wasted waiting on that straggler.
-    """
-    n = len(timings)
-    dispatch = sum(float(t.get("dispatch", 0.0)) for t in timings)
-    idles = [float(t.get("idle", 0.0)) for t in timings]
-    mean_idle = sum(idles) / n if n else 0.0
-    return (
-        f"{n} dispatched in {dispatch:.1f}s, "
-        f"mean idle {100 * mean_idle:.0f}%, worst {100 * max(idles, default=0.0):.0f}%"
-    )
-
-
 def _rung_stats(trials) -> str:
     """Per-rung trial histogram for a raced study's status line.
 
@@ -571,43 +544,18 @@ def cmd_study_compact(cfg: Config, args) -> int:
     from .blackbox import JournalStorage
 
     spec = _store_spec(args)
-    storage = _open_storage(args)
-    stores = storage.shards if hasattr(storage, "shards") else [storage]
-    if not all(isinstance(s, JournalStorage) for s in stores):
+    store = _open_storage(args)
+    if not isinstance(store, JournalStorage):
         print(
             f"{spec} is not journal-backed — compaction rewrites append-only "
             "journals; sqlite stores are already their own fixed point"
         )
         return 1
-    for store in stores:
-        before, after = store.compact()
-        print(
-            f"compacted {store.path}: {before} records -> {after} "
-            f"({before - after} overwritten by later records)"
-        )
-    return 0
-
-
-def cmd_study_merge(cfg: Config, args) -> int:
-    from .blackbox.storage import merge_stores, storage_from_url
-
-    sources = [storage_from_url(src) for src in args.sources]
-    dest = storage_from_url(args.into)
-    try:
-        merged = merge_stores(sources, dest, study_name=args.name)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary: report, don't trace
-        print(f"merge failed: {exc}")
-        return 1
-    from .service import stored_front_size
-
-    line = (
-        f"merged {len(args.sources)} stores into {args.into}: study "
-        f"'{merged.name}', {len(merged.trials)} trials"
+    before, after = store.compact()
+    print(
+        f"compacted {store.path}: {before} records -> {after} "
+        f"({before - after} overwritten by later records)"
     )
-    front_size = stored_front_size(merged)
-    if front_size is not None:
-        line += f", front size {front_size}"
-    print(line)
     return 0
 
 
@@ -616,7 +564,6 @@ _STUDY_COMMANDS = {
     "resume": cmd_study_resume,
     "status": cmd_study_status,
     "compact": cmd_study_compact,
-    "merge": cmd_study_merge,
 }
 
 
@@ -752,13 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--population", type=int, default=50)
     p_run.add_argument("--seed", type=int, default=42)
     p_run.add_argument("--workers", type=int, default=1, help="evaluation worker processes")
-    p_run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="fan trial records across N per-worker shard stores "
-        "(<path>.shard0 … shardN-1); fold back with `repro study merge`",
-    )
     p_run.add_argument(
         "--sites",
         default=None,
@@ -938,24 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="exit after N consecutive empty or unreachable polls "
         "(default: poll forever)",
-    )
-
-    p_merge = ssub.add_parser(
-        "merge", help="fold shard stores into one store (renumbers trials)"
-    )
-    p_merge.add_argument(
-        "--into", required=True, metavar="URL", help="destination storage spec"
-    )
-    p_merge.add_argument(
-        "--from",
-        dest="sources",
-        action="append",
-        required=True,
-        metavar="URL",
-        help="source shard store (repeat per shard)",
-    )
-    p_merge.add_argument(
-        "--name", default=None, help="study to merge (needed if sources hold several)"
     )
     return parser
 

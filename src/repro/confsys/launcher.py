@@ -9,8 +9,6 @@ for CPU-bound NumPy workloads, since the battery loop holds the GIL).
 
 Launchers are payload-agnostic: a job is any picklable object (a
 :class:`~repro.confsys.sweeper.SweepJob` for config sweeps, a
-``(objective, params)`` pair for
-:class:`~repro.blackbox.parallel.ParallelStudyRunner` trial batches, a
 ``(scenario, compositions)`` chunk for the parallel batch evaluator).
 ``fn`` and jobs must both be picklable (module-level functions/classes)
 for the multiprocessing path, and results always come back in job order.
@@ -29,8 +27,8 @@ JobFn = Callable[[Any], Any]
 
 def chunk_evenly(items: Sequence[Any], n_chunks: int) -> list[list[Any]]:
     """Split ``items`` into ≤ ``n_chunks`` contiguous, order-preserving
-    chunks of near-equal size (the per-worker job shape both parallel
-    drivers fan out)."""
+    chunks of near-equal size (the per-worker job shape
+    ``OptimizationRunner``'s launcher fan-out uses)."""
     if not items:
         return []
     size = -(-len(items) // max(n_chunks, 1))  # ceil division

@@ -66,7 +66,7 @@ from .finance import (
     levelized_cost_usd_per_mwh,
     net_present_cost_usd,
 )
-from .multiyear import MultiYearOutcome, evaluate_across_years, robust_ranking
+from .multiyear import MultiYearOutcome, evaluate_across_years
 from .ensemble import (
     EnsembleMember,
     EnsembleSpec,
@@ -137,7 +137,6 @@ __all__ = [
     "levelized_cost_usd_per_mwh",
     "MultiYearOutcome",
     "evaluate_across_years",
-    "robust_ranking",
     "member_subset",
     "RungSchedule",
     "RacingEvaluator",

@@ -283,9 +283,8 @@ def resolve_rung_subsets(objective, schedule: "RungSchedule") -> list[tuple[int,
     """Validate a multi-fidelity objective and resolve its rung subsets.
 
     The driver-side half of Optuna-style rung dispatch (DESIGN.md §8),
-    shared by :class:`~repro.blackbox.parallel.ParallelStudyRunner` and
-    :class:`~repro.blackbox.parallel.PipelinedDispatcher` so both race
-    identical subsets for a given ensemble: checks the objective exposes
+    used by :class:`~repro.blackbox.parallel.PipelinedDispatcher` (local
+    and remote slots alike): checks the objective exposes
     the ``n_members`` / ``aggregate`` / ``member_values`` hooks (plus
     ``member_difficulty`` for the probe-ranked ``hardest`` order, which
     is evaluated once per call — the ranking is deterministic per

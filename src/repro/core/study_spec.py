@@ -22,10 +22,10 @@ frozen dataclass:
   :meth:`StudySpec.execute` that builds the scenario list, runner, and
   sampler and dispatches to the batched or pipelined driver;
 * :func:`check_resume_identity` — THE resume validator.  Every driver
-  (``OptimizationRunner._run_blackbox_study``,
-  ``ParallelStudyRunner.optimize``, ``PipelinedDispatcher``) routes its
-  persisted-vs-requested comparison through this one function, so the
-  mismatch semantics (and error text) cannot drift between drivers.
+  (``OptimizationRunner._run_blackbox_study``, ``PipelinedDispatcher``)
+  routes its persisted-vs-requested comparison through this one
+  function, so the mismatch semantics (and error text) cannot drift
+  between drivers.
 
 The CLI's ``study run`` / ``study resume`` and the service layer
 (:mod:`repro.service`) are thin builders over this spec — the HTTP API
@@ -89,7 +89,7 @@ _IDENTITY_REASONS = {
 #: per-key normalizers so ``5`` and ``"5"`` (a JSON round-trip) compare
 #: equal without ever letting a real mismatch through
 _INT_KEYS = frozenset(
-    {"batch", "year", "n_hours", "population", "seed", "n_trials", "shards"}
+    {"batch", "year", "n_hours", "population", "seed", "n_trials"}
 )
 _FLOAT_KEYS = frozenset({"mean_power_mw"})
 
@@ -182,7 +182,6 @@ class StudySpec:
     fidelity: "str | None" = None
     pipeline: "str | None" = None
     engine: str = "auto"
-    shards: "int | None" = None
     #: transport knobs (non-identity, like ``engine``): how many remote
     #: worker slots the coordinator keeps in flight, and the lease TTL
     #: its work items carry.  Neither changes which candidates are bred
@@ -202,10 +201,8 @@ class StudySpec:
         for key in ("year", "n_hours", "n_trials", "population", "seed"):
             object.__setattr__(self, key, int(getattr(self, key)))
         object.__setattr__(self, "mean_power_mw", float(self.mean_power_mw))
-        for key in ("batch", "shards"):
-            value = getattr(self, key)
-            if value is not None:
-                object.__setattr__(self, key, int(value))
+        if self.batch is not None:
+            object.__setattr__(self, "batch", int(self.batch))
         if self.n_trials <= 0:
             raise OptimizationError("n_trials must be positive")
         if self.population <= 0:
@@ -243,8 +240,8 @@ class StudySpec:
                 raise OptimizationError("remote_slots must be >= 1")
             if self.pipeline is None:
                 # Remote dispatch rides the pipelined driver (it needs
-                # slot-granular futures); speculate=0 keeps the front
-                # bit-identical to the batched runner.
+                # slot-granular futures); speculate=0 breeds on the
+                # batched driver's generational schedule.
                 object.__setattr__(self, "pipeline", "speculate=0")
         if self.lease_ttl is not None:
             object.__setattr__(self, "lease_ttl", float(self.lease_ttl))
@@ -282,8 +279,6 @@ class StudySpec:
             "population": self.population,
             "seed": self.seed,
         }
-        if self.shards is not None and self.shards > 1:
-            metadata["shards"] = self.shards
         if self.batch is not None:
             metadata["batch"] = self.batch
         for key in ("ensemble", "racing", "fidelity", "pipeline"):
@@ -320,7 +315,9 @@ class StudySpec:
         a guessed value silently produces a different front.  ``source``
         names the store in the error; ``trials_override`` waives the
         ``n_trials`` requirement (and takes its place), matching the
-        CLI's ``study resume --trials``.
+        CLI's ``study resume --trials``.  Keys outside the identity
+        (e.g. the retired ``shards`` topology key of older stores) are
+        ignored.
         """
         required = [
             k
@@ -352,7 +349,6 @@ class StudySpec:
             fidelity=metadata.get("fidelity"),
             pipeline=metadata.get("pipeline"),
             engine=str(metadata.get("engine") or "auto"),
-            shards=metadata.get("shards"),
             remote_slots=(metadata.get("transport") or {}).get("slots"),
             lease_ttl=(metadata.get("transport") or {}).get("lease_ttl_s"),
         )

@@ -18,9 +18,10 @@ worker the persisted identity to rebuild its objective from, and
 ``POST /studies/{name}/results`` acknowledges evaluated batches
 (late results after a reclaim are acked as stale, never errors).
 
-Errors are JSON ``{"error": ...}`` with 400 (bad spec/body), 404
-(unknown study or route), 409 (conflict: duplicate submit,
-live-heartbeat resume), or 500.
+Errors are JSON ``{"error": ...}`` with 400 (bad spec/body or
+``Content-Length``), 404 (unknown study or route), 409 (conflict:
+duplicate submit, live-heartbeat resume), 413 (body over
+:data:`MAX_BODY_BYTES`, refused unread), or 500.
 
 ``repro serve --storage URL --workers N`` (cli.py) builds the service,
 starts N daemon worker threads on :meth:`StudyService.worker_loop`, and
@@ -42,6 +43,15 @@ from .service import (
     UnknownStudyError,
     spec_from_document,
 )
+
+#: largest request body read: specs, lease requests and result batches
+#: are a few KiB, so anything near this is refused before it is read
+MAX_BODY_BYTES = 1 << 20
+
+
+class PayloadTooLargeError(ServiceError):
+    """The request declared a body over :data:`MAX_BODY_BYTES` (413)."""
+
 
 #: the service API, as data: ``(method, path template, handler name)``.
 #: ``{name}`` segments capture into handler kwargs.  Dispatch iterates
@@ -102,7 +112,22 @@ class StudyServiceHandler(BaseHTTPRequestHandler):
         self._json(status, {"error": message})
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length")
+        if declared is None:
+            return {}
+        if not (declared.isascii() and declared.isdigit()):
+            # Unread body bytes would be parsed as the next request.
+            self.close_connection = True
+            raise ServiceError(
+                f"Content-Length must be a non-negative integer, got {declared!r}"
+            )
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise PayloadTooLargeError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -134,6 +159,8 @@ class StudyServiceHandler(BaseHTTPRequestHandler):
             self._error(404, str(exc))
         except StudyConflictError as exc:
             self._error(409, str(exc))
+        except PayloadTooLargeError as exc:
+            self._error(413, str(exc))
         except (ServiceError, ValueError) as exc:
             self._error(400, str(exc))
         except Exception as exc:  # noqa: BLE001 - HTTP boundary: report, don't crash the server thread

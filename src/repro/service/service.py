@@ -8,7 +8,7 @@ already standardized (DESIGN.md §12):
   (``state``/timestamps) next to its :class:`~repro.core.study_spec.
   StudySpec` identity keys, so any backend the URL registry resolves is
   a job queue for free, and every existing tool (``study status``,
-  ``study compact``, ``study merge``) works on service-run studies;
+  ``study compact``) works on service-run studies;
 * the **StudySpec seam** — :meth:`StudyService.submit` persists
   ``spec.to_metadata()``, the worker loop rebuilds the spec with
   ``StudySpec.from_metadata`` and calls ``spec.execute(...,
@@ -37,7 +37,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..blackbox.storage import StudyStorage, open_study_storage
+from ..blackbox.storage import StudyStorage, storage_from_url
 from ..blackbox.storage.base import StoredStudy
 from ..blackbox.trial import TrialState
 from ..core.study_spec import StudySpec
@@ -285,7 +285,7 @@ class HeartbeatStorage(StudyStorage):
         md = dict(metadata)
         if study_name == self._study_name:
             # The driver rewrites metadata from its in-memory snapshot
-            # (batch timings, pipeline stats); fold the live heartbeat
+            # (pipeline stats); fold the live heartbeat
             # in so progress never moves backwards.
             md.update(self._liveness())
             with self._lock:
@@ -342,7 +342,7 @@ class StudyService:
             self.storage_spec = type(storage).__name__
         else:
             self.storage_spec = str(storage)
-            self.storage = open_study_storage(self.storage_spec)
+            self.storage = storage_from_url(self.storage_spec)
         self.stale_after = float(stale_after)
         self.heartbeat_interval = float(heartbeat_interval)
         self._clock = clock

@@ -106,15 +106,15 @@ def _stored_front(spec, name):
 
 class TestStudyStorageCli:
     """The storage subsystem behind the CLI: URL specs, sqlite resume,
-    compaction, shard merge, fail-loud metadata (DESIGN.md §7)."""
+    compaction, fail-loud metadata (DESIGN.md §7)."""
 
     OVERRIDES = ["--set", "scenario.n_hours=720"]
 
-    def _run(self, spec, trials, extra=()):
+    def _run(self, spec, trials):
         return main(
             ["study", "run", "--storage", spec, "--site", "houston",
              "--trials", str(trials), "--population", "10", "--seed", "7",
-             *extra, *self.OVERRIDES]
+             *self.OVERRIDES]
         )
 
     def test_sqlite_kill_and_resume_reproduces_the_front(self, tmp_path, capsys):
@@ -162,29 +162,6 @@ class TestStudyStorageCli:
         lines_after = len((tmp_path / "c.jsonl").read_text().splitlines())
         assert lines_after < lines_before
         assert _stored_front(spec, "houston-blackbox") == before
-
-    def test_sharded_run_merges_to_the_single_store_front(self, tmp_path, capsys):
-        single = str(tmp_path / "single.db")
-        sharded = str(tmp_path / "sharded.db")
-        merged = str(tmp_path / "merged.db")
-        assert self._run(single, trials=20) == 0
-        assert self._run(sharded, trials=20, extra=["--shards", "2"]) == 0
-        assert (tmp_path / "sharded.db.shard0").exists()
-        assert (tmp_path / "sharded.db.shard1").exists()
-        assert not (tmp_path / "sharded.db").exists()
-        # status reopens the sharded topology transparently.
-        assert main(["study", "status", "--storage", sharded]) == 0
-        assert "20/20 complete" in capsys.readouterr().out
-        assert (
-            main(
-                ["study", "merge", "--into", merged,
-                 "--from", sharded + ".shard0", "--from", sharded + ".shard1"]
-            )
-            == 0
-        )
-        assert _stored_front(merged, "houston-blackbox") == _stored_front(
-            single, "houston-blackbox"
-        )
 
     def test_journal_and_storage_flags_are_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):

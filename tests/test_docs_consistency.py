@@ -187,24 +187,3 @@ class TestCIConsistency:
         text = (REPO / "README.md").read_text(encoding="utf-8")
         assert "make ci" in text
         assert ".github/workflows/ci.yml" in text
-
-
-def test_every_intree_sampler_implements_native_ask_tell():
-    """DESIGN.md §10 documents all samplers as native ask/tell citizens;
-    the legacy ``sample()`` shim (with its DeprecationWarning) exists
-    only for out-of-tree subclasses.  Catch any in-tree sampler that
-    silently falls back to the shim."""
-    from repro.blackbox import samplers
-    from repro.blackbox.samplers.base import Sampler
-
-    in_tree = [
-        cls
-        for cls in (getattr(samplers, name) for name in samplers.__all__)
-        if cls is not Sampler
-    ]
-    assert len(in_tree) >= 5
-    for cls in in_tree:
-        assert cls.ask is not Sampler.ask, (
-            f"{cls.__name__} inherits the deprecated sample() shim "
-            "instead of implementing ask() natively"
-        )

@@ -5,11 +5,8 @@ import pytest
 
 from repro.core.composition import MicrogridComposition
 from repro.core.fastsim import BatchEvaluator
-from repro.core.multiyear import (
-    MultiYearOutcome,
-    evaluate_across_years,
-    robust_ranking,
-)
+from repro.core.metrics import aggregate_values
+from repro.core.multiyear import MultiYearOutcome, evaluate_across_years
 from repro.core.sensitivity import (
     best_under_budget_stability,
     crossover_year_analytic,
@@ -56,16 +53,20 @@ class TestMultiYear:
 
     def test_cvar_between_mean_and_worst(self, outcomes):
         o = outcomes[1]
-        cvar = o.cvar_operational(alpha=0.34)
+        cvar = aggregate_values(o.operational_tco2_day_by_year, "cvar:0.34")
         assert o.operational_mean <= cvar <= o.operational_worst + 1e-12
 
     def test_cvar_alpha_one_is_mean(self, outcomes):
         o = outcomes[1]
-        assert o.cvar_operational(alpha=1.0) == pytest.approx(o.operational_mean)
+        cvar = aggregate_values(o.operational_tco2_day_by_year, "cvar:1.0")
+        assert cvar == pytest.approx(o.operational_mean)
 
     def test_robust_ranking_order(self, outcomes):
-        ranked = robust_ranking(outcomes)
-        scores = [o.cvar_operational() for o in ranked]
+        def cvar25(o):
+            return aggregate_values(o.operational_tco2_day_by_year, "cvar:0.25")
+
+        ranked = sorted(outcomes, key=cvar25)
+        scores = [cvar25(o) for o in ranked]
         assert scores == sorted(scores)
         # The max build-out dominates operationally in every year.
         assert ranked[0].composition == COMPS[2]
@@ -80,7 +81,7 @@ class TestMultiYear:
             coverage_by_year=np.array([0.0]),
         )
         with pytest.raises(ConfigurationError):
-            o.cvar_operational(alpha=0.0)
+            aggregate_values(o.operational_tco2_day_by_year, "cvar:0.0")
 
     def test_empty_composition_list(self):
         assert evaluate_across_years("houston", [], year_labels=(2024,)) == []

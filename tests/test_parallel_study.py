@@ -1,6 +1,6 @@
 """Parallel execution and resumable search (DESIGN.md §3–§4).
 
-The multiprocessing cases use 2 spawn workers: on any machine this
+The process-executor cases use 2 spawn workers: on any machine this
 exercises the real pool path (pickling, ordering), and the determinism
 assertions must hold regardless of core count.
 """
@@ -10,13 +10,13 @@ import pytest
 from repro.blackbox import (
     JournalStorage,
     NSGA2Sampler,
-    ParallelStudyRunner,
+    PipelinedDispatcher,
     RandomSampler,
     TrialState,
     create_study,
 )
 from repro.blackbox.distributions import FloatDistribution, IntDistribution
-from repro.confsys import MultiprocessingLauncher, SerialLauncher
+from repro.confsys import MultiprocessingLauncher
 from repro.core.parameterspace import ParameterSpace
 from repro.core.study_runner import CompositionObjective, OptimizationRunner
 from repro.exceptions import OptimizationError
@@ -27,6 +27,9 @@ SPHERE_SPACE = {
     "x": FloatDistribution(-2.0, 2.0),
     "k": IntDistribution(0, 5),
 }
+
+#: the local slot pools every outcome-transport case runs on
+EXECUTORS = ["thread", "process"]
 
 
 def sphere(params):  # module-level: picklable for spawn workers
@@ -48,67 +51,78 @@ def boom_unpicklable(params):  # module-level: picklable for spawn workers
     raise UnreconstructableError(42, "cannot round-trip")
 
 
-def _run_parallel(launcher, sampler, n_trials=12, batch_size=4):
+def _run_parallel(executor, sampler, n_trials=12, batch_size=4, workers=2):
     study = create_study(direction="minimize", sampler=sampler, study_name="p")
-    ParallelStudyRunner(study, SPHERE_SPACE, launcher=launcher, batch_size=batch_size).optimize(
-        sphere, n_trials=n_trials
-    )
+    PipelinedDispatcher(
+        study, SPHERE_SPACE, workers=workers, executor=executor, batch_size=batch_size
+    ).optimize(sphere, n_trials=n_trials)
     return study
 
 
-class TestParallelStudyRunner:
-    def test_serial_launcher_runs(self):
-        study = _run_parallel(SerialLauncher(), RandomSampler(seed=1))
+class TestPipelinedDispatcher:
+    def test_serial_executor_runs(self):
+        study = _run_parallel("serial", RandomSampler(seed=1))
         assert len(study.trials) == 12
         assert all(t.state == TrialState.COMPLETE for t in study.trials)
         assert all(t.values[0] == sphere(t.params) for t in study.trials)
 
     def test_multiprocessing_matches_serial(self):
-        serial = _run_parallel(SerialLauncher(), NSGA2Sampler(population_size=4, seed=2))
-        parallel = _run_parallel(
-            MultiprocessingLauncher(n_workers=2), NSGA2Sampler(population_size=4, seed=2)
-        )
+        serial = _run_parallel("serial", NSGA2Sampler(population_size=4, seed=2))
+        parallel = _run_parallel("process", NSGA2Sampler(population_size=4, seed=2))
         assert [t.params for t in serial.trials] == [t.params for t in parallel.trials]
         assert [t.values for t in serial.trials] == [t.values for t in parallel.trials]
 
     def test_rerun_is_reproducible(self):
-        a = _run_parallel(SerialLauncher(), RandomSampler(seed=3))
-        b = _run_parallel(SerialLauncher(), RandomSampler(seed=3))
+        a = _run_parallel("serial", RandomSampler(seed=3))
+        b = _run_parallel("serial", RandomSampler(seed=3))
         assert [t.params for t in a.trials] == [t.params for t in b.trials]
 
-    def test_caught_errors_mark_failed(self):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_caught_errors_mark_failed(self, executor):
         study = create_study(direction="minimize", sampler=RandomSampler(seed=4), study_name="f")
-        runner = ParallelStudyRunner(study, SPHERE_SPACE, batch_size=3)
-        runner.optimize(boom, n_trials=3, catch=(ValueError,))
+        dispatcher = PipelinedDispatcher(
+            study, SPHERE_SPACE, workers=2, executor=executor, batch_size=3
+        )
+        dispatcher.optimize(boom, n_trials=3, catch=(ValueError,))
         assert [t.state for t in study.trials] == [TrialState.FAILED] * 3
 
-    def test_uncaught_errors_propagate(self):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_uncaught_errors_propagate(self, executor):
         study = create_study(direction="minimize", sampler=RandomSampler(seed=5), study_name="f")
-        runner = ParallelStudyRunner(study, SPHERE_SPACE, batch_size=2)
+        dispatcher = PipelinedDispatcher(
+            study, SPHERE_SPACE, workers=2, executor=executor, batch_size=2
+        )
         with pytest.raises(ValueError, match="boom"):
-            runner.optimize(boom, n_trials=2)
-        assert study.trials[0].state == TrialState.FAILED
+            dispatcher.optimize(boom, n_trials=2)
+        # The first outcome to arrive is recorded FAILED and re-raised;
+        # which trial that is depends on pool scheduling.
+        assert [t.state for t in study.trials].count(TrialState.FAILED) == 1
 
     def test_validation(self):
         study = create_study(direction="minimize", study_name="v")
         with pytest.raises(OptimizationError):
-            ParallelStudyRunner(study, {})
+            PipelinedDispatcher(study, {})
         with pytest.raises(OptimizationError):
-            ParallelStudyRunner(study, SPHERE_SPACE, batch_size=0)
+            PipelinedDispatcher(study, SPHERE_SPACE, batch_size=0)
         with pytest.raises(OptimizationError):
-            ParallelStudyRunner(study, SPHERE_SPACE).optimize(sphere, n_trials=0)
+            PipelinedDispatcher(study, SPHERE_SPACE, workers=0)
+        with pytest.raises(OptimizationError, match="executor"):
+            PipelinedDispatcher(study, SPHERE_SPACE, executor="cluster")
+        with pytest.raises(OptimizationError):
+            PipelinedDispatcher(study, SPHERE_SPACE).optimize(sphere, n_trials=0)
 
-    def test_unpicklable_exception_does_not_hang_the_pool(self):
-        # An exception that cannot be reconstructed parent-side used to
-        # kill the pool's result-handler thread and block forever; it
-        # must now surface as an OptimizationError naming the original.
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_unpicklable_exception_does_not_hang_the_pool(self, executor):
+        # An exception that cannot be reconstructed coordinator-side
+        # would break the pool's result transport; it must surface as an
+        # OptimizationError naming the original.
         study = create_study(direction="minimize", sampler=RandomSampler(seed=13), study_name="u")
-        runner = ParallelStudyRunner(
-            study, SPHERE_SPACE, launcher=MultiprocessingLauncher(n_workers=2), batch_size=2
+        dispatcher = PipelinedDispatcher(
+            study, SPHERE_SPACE, workers=2, executor=executor, batch_size=2
         )
         with pytest.raises(OptimizationError, match="UnreconstructableError"):
-            runner.optimize(boom_unpicklable, n_trials=2)
-        assert study.trials[0].state == TrialState.FAILED
+            dispatcher.optimize(boom_unpicklable, n_trials=2)
+        assert [t.state for t in study.trials].count(TrialState.FAILED) == 1
 
     def test_n_trials_is_a_total_target_on_resume(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -116,26 +130,25 @@ class TestParallelStudyRunner:
             direction="minimize", sampler=RandomSampler(seed=14), study_name="t",
             storage=JournalStorage(path),
         )
-        ParallelStudyRunner(study, SPHERE_SPACE, batch_size=4).optimize(sphere, n_trials=10)
+        PipelinedDispatcher(study, SPHERE_SPACE, batch_size=4).optimize(sphere, n_trials=10)
 
         resumed = create_study(
             direction="minimize", sampler=RandomSampler(seed=14), study_name="t",
             storage=JournalStorage(path), load_if_exists=True,
         )
-        ParallelStudyRunner(resumed, SPHERE_SPACE, batch_size=4).optimize(sphere, n_trials=12)
-        # 12 total — not 10 loaded + 12 more; the trailing partial batch
-        # (trials 8–9) was re-run under the same numbers.
+        PipelinedDispatcher(resumed, SPHERE_SPACE, batch_size=4).optimize(sphere, n_trials=12)
+        # 12 total — not 10 loaded + 12 more.
         assert len(resumed.trials) == 12
 
         reference = create_study(direction="minimize", sampler=RandomSampler(seed=14), study_name="t")
-        ParallelStudyRunner(reference, SPHERE_SPACE, batch_size=4).optimize(sphere, n_trials=12)
+        PipelinedDispatcher(reference, SPHERE_SPACE, batch_size=4).optimize(sphere, n_trials=12)
         assert [t.params for t in resumed.trials] == [t.params for t in reference.trials]
         assert [t.values for t in resumed.trials] == [t.values for t in reference.trials]
 
     def test_batch_defaults_to_population(self):
         study = create_study(sampler=NSGA2Sampler(population_size=6, seed=6), study_name="b")
-        runner = ParallelStudyRunner(study, SPHERE_SPACE)
-        assert runner.batch_size == 6
+        dispatcher = PipelinedDispatcher(study, SPHERE_SPACE, workers=2)
+        assert dispatcher.batch_size == 6
 
     def test_journaled_parallel_run_is_resumable(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -145,7 +158,7 @@ class TestParallelStudyRunner:
             study_name="p",
             storage=JournalStorage(path),
         )
-        ParallelStudyRunner(study, SPHERE_SPACE, batch_size=4).optimize(sphere, n_trials=8)
+        PipelinedDispatcher(study, SPHERE_SPACE, batch_size=4).optimize(sphere, n_trials=8)
 
         resumed = create_study(
             direction="minimize",
@@ -155,6 +168,33 @@ class TestParallelStudyRunner:
             load_if_exists=True,
         )
         assert [t.params for t in resumed.trials] == [t.params for t in study.trials]
+
+    def test_mismatched_batch_on_resume_raises(self, tmp_path):
+        spec = str(tmp_path / "p.jsonl")
+        study = create_study(
+            direction="minimize", sampler=RandomSampler(seed=23), study_name="sh"
+        )
+        PipelinedDispatcher(
+            study, SPHERE_SPACE, batch_size=4, storage=spec
+        ).optimize(sphere, n_trials=8)
+        resumed = create_study(
+            direction="minimize", sampler=RandomSampler(seed=23), study_name="sh",
+            storage=spec, load_if_exists=True,
+        )
+        with pytest.raises(OptimizationError, match="batch"):
+            PipelinedDispatcher(resumed, SPHERE_SPACE, batch_size=3).optimize(
+                sphere, n_trials=12
+            )
+
+    def test_attach_refuses_already_persistent_study(self, tmp_path):
+        study = create_study(
+            direction="minimize", study_name="sh",
+            storage=JournalStorage(tmp_path / "a.jsonl"),
+        )
+        with pytest.raises(OptimizationError, match="already has a storage"):
+            PipelinedDispatcher(
+                study, SPHERE_SPACE, storage=str(tmp_path / "b.jsonl")
+            )
 
 
 class TestParallelEvaluation:
@@ -258,103 +298,17 @@ class TestResumableBlackboxSearch:
             assert SMALL_SPACE.contains(SMALL_SPACE.from_params(t.params))
 
 
-class TestShardedParallelRunner:
-    """ParallelStudyRunner fanning records across per-worker shard stores
-    (DESIGN.md §7): same trials as single-store, resumable, mergeable."""
-
-    def test_storage_spec_attach_and_shard_fanout(self, tmp_path):
-        spec = str(tmp_path / "p.jsonl")
-        study = create_study(
-            direction="minimize", sampler=RandomSampler(seed=21), study_name="sh"
-        )
-        ParallelStudyRunner(
-            study, SPHERE_SPACE, batch_size=4, storage=spec, shards=2
-        ).optimize(sphere, n_trials=8)
-        assert (tmp_path / "p.jsonl.shard0").exists()
-        assert (tmp_path / "p.jsonl.shard1").exists()
-        assert not (tmp_path / "p.jsonl").exists()
-
-        single = create_study(
-            direction="minimize", sampler=RandomSampler(seed=21), study_name="sh",
-            storage=JournalStorage(tmp_path / "single.jsonl"),
-        )
-        ParallelStudyRunner(single, SPHERE_SPACE, batch_size=4).optimize(
-            sphere, n_trials=8
-        )
-        assert [t.params for t in study.trials] == [t.params for t in single.trials]
-        assert [t.values for t in study.trials] == [t.values for t in single.trials]
-
-    def test_sharded_study_resumes_to_total_target(self, tmp_path):
-        from repro.blackbox.storage import resolve_storage
-
-        spec = str(tmp_path / "p.jsonl")
-        study = create_study(
-            direction="minimize", sampler=RandomSampler(seed=22), study_name="sh"
-        )
-        ParallelStudyRunner(
-            study, SPHERE_SPACE, batch_size=4, storage=spec, shards=2
-        ).optimize(sphere, n_trials=8)
-
-        resumed = create_study(
-            direction="minimize", sampler=RandomSampler(seed=22), study_name="sh",
-            storage=resolve_storage(spec, shards=2), load_if_exists=True,
-        )
-        ParallelStudyRunner(resumed, SPHERE_SPACE, batch_size=4).optimize(
-            sphere, n_trials=12
-        )
-        assert len(resumed.trials) == 12
-
-        reference = create_study(
-            direction="minimize", sampler=RandomSampler(seed=22), study_name="sh"
-        )
-        ParallelStudyRunner(reference, SPHERE_SPACE, batch_size=4).optimize(
-            sphere, n_trials=12
-        )
-        assert [t.params for t in resumed.trials] == [
-            t.params for t in reference.trials
-        ]
-
-    def test_mismatched_batch_on_resume_raises(self, tmp_path):
-        from repro.blackbox.storage import resolve_storage
-
-        spec = str(tmp_path / "p.jsonl")
-        study = create_study(
-            direction="minimize", sampler=RandomSampler(seed=23), study_name="sh"
-        )
-        ParallelStudyRunner(
-            study, SPHERE_SPACE, batch_size=4, storage=spec
-        ).optimize(sphere, n_trials=8)
-        resumed = create_study(
-            direction="minimize", sampler=RandomSampler(seed=23), study_name="sh",
-            storage=resolve_storage(spec), load_if_exists=True,
-        )
-        with pytest.raises(OptimizationError, match="batch"):
-            ParallelStudyRunner(resumed, SPHERE_SPACE, batch_size=3).optimize(
-                sphere, n_trials=12
-            )
-
-    def test_attach_refuses_already_persistent_study(self, tmp_path):
-        study = create_study(
-            direction="minimize", study_name="sh",
-            storage=JournalStorage(tmp_path / "a.jsonl"),
-        )
-        with pytest.raises(OptimizationError, match="already has a storage"):
-            ParallelStudyRunner(
-                study, SPHERE_SPACE, storage=str(tmp_path / "b.jsonl")
-            )
-
-
 class TestBatchMetadataOnCreatePath:
     def test_create_study_path_persists_batch_and_arms_the_guard(self, tmp_path):
-        # The documented flow — create_study(storage=...) first, runner
-        # second — must persist the generation size too, so a resume
-        # with a different batch is caught, not silently misaligned.
+        # The documented flow — create_study(storage=...) first,
+        # dispatcher second — must persist the generation size too, so a
+        # resume with a different batch is caught, not silently misaligned.
         path = tmp_path / "p.jsonl"
         study = create_study(
             direction="minimize", sampler=RandomSampler(seed=31), study_name="b",
             storage=JournalStorage(path),
         )
-        ParallelStudyRunner(study, SPHERE_SPACE, batch_size=4).optimize(
+        PipelinedDispatcher(study, SPHERE_SPACE, batch_size=4).optimize(
             sphere, n_trials=8
         )
         assert JournalStorage(path).load_study("b").metadata["batch"] == 4
@@ -364,6 +318,6 @@ class TestBatchMetadataOnCreatePath:
             storage=JournalStorage(path), load_if_exists=True,
         )
         with pytest.raises(OptimizationError, match="batch"):
-            ParallelStudyRunner(resumed, SPHERE_SPACE, batch_size=3).optimize(
+            PipelinedDispatcher(resumed, SPHERE_SPACE, batch_size=3).optimize(
                 sphere, n_trials=12
             )

@@ -2,18 +2,18 @@
 
 The contract :class:`PipelinedDispatcher` must keep:
 
-* with speculation off, the streamed run is **bit-identical** to
-  :class:`ParallelStudyRunner`'s generation-batched run — params,
-  values, states, intermediate reports, and rung attrs, racing
-  included;
+* with speculation off, the streamed run is **bit-identical** to a
+  serial replay oracle: every trial's params are what ``sampler.ask``
+  returns on the first ``E(n)`` trials of the finished study, its values
+  are the objective's output on those params, and under racing every
+  generation's prune decisions, partial reports, and rung attrs are
+  what a serial cohort climb computes from ``member_values``;
 * with speculation on, the trial sequence is a pure function of
   ``(seed, speculation depth)`` — never of worker count or scheduling;
 * every trial persists its ask order and parent epoch as system attrs,
   a genuine ``kill -9`` mid-pipeline resumes to the identical front on
   journal *and* SQLite backends, and resuming with a different
-  speculation depth / batch size is a hard error;
-* the batched runner's per-batch starvation accounting lands in study
-  metadata for ``repro study status``.
+  speculation depth / batch size is a hard error.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import pytest
 
 from repro.blackbox import NSGA2Sampler, create_study
 from repro.blackbox.distributions import FloatDistribution, IntDistribution
+from repro.blackbox.multiobjective import pareto_front_indices
 from repro.blackbox.parallel import (
-    ParallelStudyRunner,
     PipelinedDispatcher,
     parse_pipeline_spec,
     pipeline_spec_string,
@@ -42,8 +42,8 @@ from repro.blackbox.trial import (
     RACING_RUNG_ATTR,
     TrialState,
 )
-from repro.confsys.launcher import ThreadLauncher
 from repro.core.metrics import aggregate_values
+from repro.core.racing import RungSchedule, resolve_rung_subsets
 from repro.exceptions import OptimizationError
 
 SPACE = {"x": FloatDistribution(-2.0, 2.0), "k": IntDistribution(0, 5)}
@@ -103,15 +103,6 @@ def _snapshot(study: Study) -> list:
     ]
 
 
-def _run_generational(objective, racing=None) -> Study:
-    study = _study()
-    runner = ParallelStudyRunner(
-        study, SPACE, launcher=ThreadLauncher(4), batch_size=BATCH
-    )
-    runner.optimize(objective, n_trials=N_TRIALS, racing=racing)
-    return study
-
-
 def _run_pipelined(
     objective, speculate: int = 0, workers: int = 4, racing=None
 ) -> "tuple[Study, PipelinedDispatcher]":
@@ -128,30 +119,90 @@ def _run_pipelined(
     return study, dispatcher
 
 
+def _replayed_params(study: Study, number: int) -> dict:
+    """What a fresh sampler asks for trial ``number`` when shown only the
+    first ``E(number)`` trials of the finished study (speculation off:
+    the start of the trial's own generation)."""
+    sampler = NSGA2Sampler(population_size=BATCH, seed=7)
+    sampler.per_trial_seeding = True
+    prefix = Study(directions=["minimize", "minimize"], sampler=sampler)
+    prefix.trials = list(study.trials[: (number // BATCH) * BATCH])
+    return sampler.ask(prefix, number, SPACE)
+
+
+def _race_oracle(study: Study, racing: str) -> list:
+    """Serial cohort climb: each generation's rung prunes recomputed from
+    ``member_values``, reduced with the objective's aggregate in member
+    order, pruning whatever falls off the cohort's partial front.
+
+    Returns the ``(number, values, state, intermediate, rung)`` rows the
+    run must match.
+    """
+    objective = RacedSphere()
+    subsets = resolve_rung_subsets(objective, RungSchedule.parse(racing))
+    rows = {}
+    for first in range(0, len(study.trials), BATCH):
+        alive = study.trials[first : first + BATCH]
+        reports: "dict[int, dict]" = {t.number: {} for t in alive}
+        for rung, subset in enumerate(subsets):
+            vectors = [
+                tuple(
+                    aggregate_values(column, objective.aggregate)
+                    for column in zip(
+                        *objective.member_values(dict(t.params), sorted(subset))
+                    )
+                )
+                for t in alive
+            ]
+            if rung == len(subsets) - 1:
+                for t, vector in zip(alive, vectors):
+                    rows[t.number] = (
+                        t.number, vector, TrialState.COMPLETE,
+                        reports[t.number], objective.n_members,
+                    )
+                break
+            front = set(int(i) for i in pareto_front_indices(vectors))
+            survivors = []
+            for i, (t, vector) in enumerate(zip(alive, vectors)):
+                reports[t.number] = {**reports[t.number], len(subset): vector[0]}
+                if i in front:
+                    survivors.append(t)
+                else:
+                    rows[t.number] = (
+                        t.number, None, TrialState.PRUNED,
+                        reports[t.number], len(subset),
+                    )
+            alive = survivors
+    return [rows[n] for n in sorted(rows)]
+
+
 class TestSpecZeroBitIdentity:
-    """speculate=0 → the exact generation-batched run, worker-count free."""
+    """speculate=0 → the serial replay oracle, worker-count free."""
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_plain_matches_batched_runner(self, workers):
-        reference = _snapshot(_run_generational(sphere))
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_plain_matches_replay_oracle(self, workers):
         piped, _ = _run_pipelined(sphere, speculate=0, workers=workers)
-        assert _snapshot(piped) == reference
+        assert [t.number for t in piped.trials] == list(range(N_TRIALS))
+        for trial in piped.trials:
+            assert trial.params == _replayed_params(piped, trial.number)
+            assert trial.values == sphere(trial.params)
+            assert trial.state == TrialState.COMPLETE
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_racing_matches_batched_runner(self, workers):
-        """Rung climbs as queue items: same prune decisions, same partial
-        reports, same rung attrs, same surviving values."""
-        reference = _run_generational(RacedSphere(), racing="rungs=2,full")
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_racing_matches_replay_oracle(self, workers):
+        """Rung climbs as queue items: the prune decisions, partial
+        reports, rung attrs, and surviving values of a serial climb."""
         piped, _ = _run_pipelined(
             RacedSphere(), speculate=0, workers=workers, racing="rungs=2,full"
         )
-        assert _snapshot(piped) == _snapshot(reference)
+        for trial in piped.trials:
+            assert trial.params == _replayed_params(piped, trial.number)
+        assert [
+            (n, values, state, intermediate, rung)
+            for n, _, values, state, intermediate, rung in _snapshot(piped)
+        ] == _race_oracle(piped, "rungs=2,full")
         pruned = [t for t in piped.trials if t.state == TrialState.PRUNED]
         assert pruned, "racing never pruned — vacuous equivalence"
-        objective = RacedSphere()
-        for trial in piped.trials:
-            if trial.state == TrialState.COMPLETE:
-                assert tuple(objective(dict(trial.params))) == trial.values
 
 
 class TestSpeculativeDeterminism:
@@ -347,29 +398,3 @@ class TestKillDashNineMidPipeline:
             _storage_url(kind, tmp_path / "ref"), N_TRIALS
         )
         assert _snapshot(resumed) == _snapshot(reference)
-
-
-class TestStarvationAccounting:
-    def test_batched_runner_records_per_batch_timings(self):
-        study = _run_generational(sphere)
-        timings = study.metadata["batch_timings"]
-        assert len(timings) == N_TRIALS // BATCH
-        for entry in timings:
-            assert set(entry) == {"dispatch", "slowest", "idle"}
-            assert entry["dispatch"] >= 0.0
-            assert entry["slowest"] <= entry["dispatch"] + 1e-9
-            assert 0.0 <= entry["idle"] <= 1.0
-
-    def test_status_helper_summarizes_starvation(self):
-        from repro.cli import _starvation_stats
-
-        line = _starvation_stats(
-            [
-                {"dispatch": 2.0, "slowest": 1.9, "idle": 0.25},
-                {"dispatch": 1.0, "slowest": 0.8, "idle": 0.75},
-            ]
-        )
-        assert "2 dispatched" in line
-        assert "3.0" in line  # total dispatch seconds
-        assert "50" in line  # mean idle %
-        assert "75" in line  # worst idle %

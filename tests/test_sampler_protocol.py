@@ -125,46 +125,22 @@ class TestAskTellEquivalence:
 
     @pytest.mark.parametrize("kind", sorted(SAMPLERS))
     def test_native_ask_emits_no_deprecation_warning(self, kind):
-        """In-tree samplers override ask(); the shim's warning never fires."""
+        """The ask path runs warning-free on every in-tree sampler."""
         _run_ask_tell(kind, 4)  # simplefilter("error") inside would raise
 
 
-class _LegacyOnlySampler(Sampler):
-    """A sample()-era subclass that never heard of ask/tell."""
+class _SampleOnlySampler(Sampler):
+    """A define-by-run-only subclass that never implemented ask()."""
 
     def sample(self, study, trial, name, distribution):
         return distribution.sample(self.rng)
 
 
-class TestLegacyShim:
-    def test_legacy_sampler_still_asks_with_deprecation_warning(self):
-        sampler = _LegacyOnlySampler(seed=9)
-        study = Study(directions=["minimize"], sampler=sampler)
-        with pytest.warns(DeprecationWarning, match="legacy"):
-            params = sampler.ask(study, 0, SPACE)
-        assert set(params) == set(SPACE)
-        for name, dist in SPACE.items():
-            assert dist.contains(params[name])
-
-    def test_shim_matches_define_by_run_draws(self):
-        """The shim replays the historical loop: same RNG consumption."""
-        a = _LegacyOnlySampler(seed=9)
-        a.per_trial_seeding = True
-        study_a = Study(directions=["minimize"], sampler=a)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            asked = a.ask(study_a, 0, SPACE)
-
-        b = _LegacyOnlySampler(seed=9)
-        b.per_trial_seeding = True
-        study_b = Study(directions=["minimize"], sampler=b)
-        trial = study_b.ask()
-        suggested = {
-            "x": trial.suggest_float("x", -2.0, 2.0),
-            "k": trial.suggest_int("k", 0, 5),
-            "mode": trial.suggest_categorical("mode", ("a", "b", "c")),
-        }
-        assert asked == suggested
+class TestAbstractAsk:
+    def test_sampler_without_native_ask_cannot_be_built(self):
+        """ask() is abstract: a sampler must plan whole candidates itself."""
+        with pytest.raises(TypeError, match="ask"):
+            _SampleOnlySampler(seed=9)
 
 
 class _RecordingSampler(RandomSampler):

@@ -8,6 +8,7 @@ and the finished front is bit-identical to an uninterrupted run's, on
 both the journal and sqlite backends.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -33,7 +34,7 @@ from repro.service import (
     spec_from_document,
     study_status_document,
 )
-from repro.service.http import make_server
+from repro.service.http import MAX_BODY_BYTES, make_server
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -191,6 +192,51 @@ def http_service(tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _post_declaring(base, path, content_length, body=b""):
+    """POST over a raw connection with a hand-written Content-Length.
+
+    The 10 s socket timeout turns a server that waits for body bytes the
+    client never sends into a test failure instead of a hang.
+    """
+    host, port = base.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders(body or None)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read()), response.will_close
+    finally:
+        conn.close()
+
+
+class TestRequestBodyBounds:
+    """Content-Length is untrusted input: malformed → 400, oversized →
+    413 without the body being read."""
+
+    def test_negative_length_is_a_400_not_a_hang(self, http_service):
+        _, base = http_service
+        status, doc, _ = _post_declaring(base, "/lease", "-5")
+        assert status == 400 and "Content-Length" in doc["error"]
+
+    def test_length_without_digits_is_a_400(self, http_service):
+        _, base = http_service
+        for declared in ("abc", "", "1e3"):
+            status, doc, _ = _post_declaring(base, "/lease", declared)
+            assert status == 400 and "Content-Length" in doc["error"], declared
+
+    def test_oversized_length_is_a_413_left_unread(self, http_service):
+        # No body bytes are sent: a server that tried to read the
+        # declared length would block until the client timeout.
+        _, base = http_service
+        status, doc, will_close = _post_declaring(
+            base, "/studies", str(MAX_BODY_BYTES + 1)
+        )
+        assert status == 413 and str(MAX_BODY_BYTES) in doc["error"]
+        assert will_close
 
 
 class TestHttpApi:

@@ -4,8 +4,7 @@ Parametrized over the in-memory, JSONL-journal, and SQLite backends
 (DESIGN.md §7): whatever one backend guarantees — round-trip fidelity,
 last-write-wins per trial number, tombstone resets, crash-durable
 records (a real ``kill -9`` mid-run), resume-equivalence of the final
-Pareto front — every backend must guarantee.  Sharded stores and the
-merge operation are pinned against their single-store twins.
+Pareto front — every backend must guarantee.
 """
 
 from __future__ import annotations
@@ -24,19 +23,12 @@ from repro.blackbox import (
     JournalStorage,
     NSGA2Sampler,
     RandomSampler,
-    ShardedStorage,
     SQLiteStorage,
     TrialState,
     create_study,
-    merge_stores,
     storage_from_url,
 )
-from repro.blackbox.storage import (
-    discover_shards,
-    open_study_storage,
-    resolve_storage,
-    shard_spec,
-)
+from repro.blackbox.storage import resolve_storage
 from repro.blackbox.trial import FrozenTrial
 from repro.core.parameterspace import ParameterSpace
 from repro.core.study_runner import OptimizationRunner
@@ -297,93 +289,6 @@ class TestKillDashNine:
         ]
 
 
-class TestShardedStorage:
-    def _drive(self, storage, seed=5, n=9):
-        study = create_study(
-            direction="minimize",
-            sampler=RandomSampler(seed=seed),
-            study_name="s",
-            storage=storage,
-            metadata={"n_trials": n},
-        )
-        study.sampler.per_trial_seeding = True
-        study.optimize(objective, n_trials=n)
-        return study
-
-    def test_routes_by_number_and_unions_on_load(self, tmp_path):
-        shards = [JournalStorage(tmp_path / f"s.jsonl.shard{i}") for i in range(3)]
-        storage = ShardedStorage(shards)
-        self._drive(storage)
-        # Trial n lives in shard n % W — and only there.
-        for i, shard in enumerate(shards):
-            numbers = sorted(shard.load_study("s").trials_by_number)
-            assert numbers == [n for n in range(9) if n % 3 == i]
-        merged = storage.load_study("s")
-        assert sorted(merged.trials_by_number) == list(range(9))
-        assert merged.metadata == {"n_trials": 9}
-
-    def test_sharded_equals_single_store(self, tmp_path):
-        single = self._drive(JournalStorage(tmp_path / "single.jsonl"))
-        sharded = self._drive(
-            ShardedStorage(
-                [SQLiteStorage(tmp_path / f"s.db.shard{i}") for i in range(2)]
-            )
-        )
-        assert [t.params for t in single.trials] == [t.params for t in sharded.trials]
-        assert [t.values for t in single.trials] == [t.values for t in sharded.trials]
-
-    def test_merge_matches_single_store_front(self, tmp_path):
-        self._drive(JournalStorage(tmp_path / "single.jsonl"))
-        shards = [SQLiteStorage(tmp_path / f"m.db.shard{i}") for i in range(2)]
-        self._drive(ShardedStorage(shards))
-
-        dest = SQLiteStorage(tmp_path / "merged.db")
-        merged = merge_stores(shards, dest)
-        single = JournalStorage(tmp_path / "single.jsonl").load_study("s")
-        assert [t.params for t in merged.finished_trials()] == [
-            t.params for t in single.finished_trials()
-        ]
-        assert [t.values for t in merged.finished_trials()] == [
-            t.values for t in single.finished_trials()
-        ]
-        assert merged.metadata == single.metadata
-
-    def test_merge_renumbers_across_gaps(self, tmp_path):
-        shards = [InMemoryStorage(), InMemoryStorage()]
-        for shard in shards:
-            shard.create_study("s", ["minimize"], {"shards": 2})
-        # Shard 0 holds finished 0 and an in-flight 2; shard 1 holds 1.
-        shards[0].record_trial_finish(
-            "s", FrozenTrial(number=0, state=TrialState.COMPLETE, values=(1.0,))
-        )
-        shards[1].record_trial_finish(
-            "s", FrozenTrial(number=1, state=TrialState.COMPLETE, values=(2.0,))
-        )
-        shards[0].record_trial_start("s", FrozenTrial(number=2))
-
-        merged = merge_stores(shards, InMemoryStorage())
-        assert [(t.number, t.values) for t in merged.trials] == [
-            (0, (1.0,)),
-            (1, (2.0,)),
-        ]
-        assert merged.metadata == {}  # the shards key does not survive a merge
-
-    def test_merge_refuses_existing_destination(self, tmp_path):
-        src = InMemoryStorage()
-        src.create_study("s", ["minimize"], {})
-        dest = InMemoryStorage()
-        dest.create_study("s", ["minimize"], {})
-        with pytest.raises(OptimizationError, match="destination"):
-            merge_stores([src], dest)
-
-    def test_merge_requires_unambiguous_name(self):
-        src = InMemoryStorage()
-        src.create_study("a", ["minimize"], {})
-        src.create_study("b", ["minimize"], {})
-        with pytest.raises(OptimizationError, match="study_name"):
-            merge_stores([src], InMemoryStorage())
-
-
 class TestRegistry:
     def test_scheme_resolution(self, tmp_path):
         assert isinstance(storage_from_url("memory://"), InMemoryStorage)
@@ -400,9 +305,6 @@ class TestRegistry:
         assert isinstance(storage_from_url(tmp_path / "s.jsonl"), JournalStorage)
         assert isinstance(storage_from_url(tmp_path / "s.db"), SQLiteStorage)
         assert isinstance(storage_from_url(tmp_path / "s.sqlite3"), SQLiteStorage)
-        # Shard files keep the parent store's backend.
-        assert isinstance(storage_from_url(tmp_path / "s.db.shard0"), SQLiteStorage)
-        assert isinstance(storage_from_url(tmp_path / "s.jsonl.shard1"), JournalStorage)
 
     def test_unknown_scheme_raises(self):
         with pytest.raises(OptimizationError, match="unknown storage scheme"):
@@ -412,36 +314,12 @@ class TestRegistry:
         backend = InMemoryStorage()
         assert resolve_storage(backend) is backend
         assert resolve_storage(None) is None
-        with pytest.raises(OptimizationError, match="spec string"):
-            resolve_storage(backend, shards=2)
-
-    def test_resolve_shards(self, tmp_path):
-        sharded = resolve_storage(str(tmp_path / "s.db"), shards=3)
-        assert isinstance(sharded, ShardedStorage)
-        assert [str(s.path) for s in sharded.shards] == [
-            str(tmp_path / f"s.db.shard{i}") for i in range(3)
-        ]
-        assert all(isinstance(s, SQLiteStorage) for s in sharded.shards)
 
     def test_create_study_accepts_spec_strings(self, tmp_path):
         spec = f"sqlite:///{tmp_path}/via-url.db"
         study = create_study(storage=spec, study_name="s", sampler=RandomSampler(seed=6))
         study.optimize(objective, n_trials=2)
         assert len(storage_from_url(spec).load_study("s").finished_trials()) == 2
-
-    def test_shard_discovery(self, tmp_path):
-        base = str(tmp_path / "d.jsonl")
-        storage = resolve_storage(base, shards=2)
-        storage.create_study("s", ["minimize"], {"shards": 2})
-        storage.record_trial_finish(
-            "s", FrozenTrial(number=0, state=TrialState.COMPLETE, values=(1.0,))
-        )
-        assert discover_shards(base) == 2
-        assert shard_spec(base, 0) == base + ".shard0"
-        reopened = open_study_storage(base)
-        assert isinstance(reopened, ShardedStorage)
-        assert len(reopened.load_study("s").finished_trials()) == 1
-
 
 class TestUpdateMetadata:
     def test_update_replaces_and_persists(self, substrate):
@@ -469,14 +347,6 @@ class TestUpdateMetadata:
             "n_trials": 10,
             "batch": 4,
         }
-
-    def test_sharded_update_reaches_every_shard(self, tmp_path):
-        shards = [InMemoryStorage(), InMemoryStorage()]
-        storage = ShardedStorage(shards)
-        storage.create_study("s", ["minimize"], {})
-        storage.update_metadata("s", {"batch": 4})
-        for shard in shards:  # each shard file stays self-describing
-            assert shard.load_study("s").metadata == {"batch": 4}
 
 
 class TestJournalStaleAppendHandle:

@@ -3,9 +3,9 @@
 The spec is the one place the full search identity lives: its
 ``to_metadata()``/``from_metadata()`` round-trip is what every driver
 persists and every resume replays, and ``check_resume_identity`` is the
-*single* validator all three drivers (batched, launcher-fanned,
-pipelined) route through — so these tests also pin, by scanning the
-source tree, that the historical per-driver copies stay deleted.
+*single* validator both drivers (batched, pipelined) route through — so
+these tests also pin, by scanning the source tree, that the historical
+per-driver copies stay deleted.
 """
 
 import re
@@ -44,7 +44,6 @@ class TestRoundTrip:
             fidelity="fidelity=lo,full",
             pipeline="speculate=4",
             engine="loop",
-            shards=2,
         )
         restored = StudySpec.from_metadata(spec.to_metadata())
         assert restored == spec
@@ -69,7 +68,7 @@ class TestRoundTrip:
         # informational-only so it is never persisted.
         md = StudySpec(sites=("houston",)).to_metadata()
         assert md["site"] == "houston" and md["sites"] == ["houston"]
-        for key in ("ensemble", "racing", "fidelity", "pipeline", "engine", "shards"):
+        for key in ("ensemble", "racing", "fidelity", "pipeline", "engine"):
             assert key not in md
 
     def test_invalid_specs_fail_on_construction(self):
@@ -105,6 +104,14 @@ class TestFromMetadata:
         md = StudySpec(sites=("berkeley",)).to_metadata()
         del md["sites"]
         assert StudySpec.from_metadata(md).sites == ("berkeley",)
+
+    def test_retired_shards_key_loads_and_is_ignored(self):
+        spec = StudySpec(sites=("houston",), n_hours=720)
+        md = {**spec.to_metadata(), "shards": 2}
+        restored = StudySpec.from_metadata(md)
+        assert restored == spec
+        assert "shards" not in restored.to_metadata()
+        restored.validate_resume(md)
 
 
 class TestCheckResumeIdentity:
